@@ -12,11 +12,15 @@ used in the spammer-robustness experiments:
   minority of spammers;
 - :class:`WeightedAggregator` — per-member trust weights (e.g. from an
   external worker-quality system).
+
+:class:`DynamicTrustAggregator` re-reads live trust from a source
+(:class:`CompositeTrust` multiplies several) at every summarize call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,6 +163,40 @@ class DynamicTrustAggregator(Aggregator):
 
     def __repr__(self) -> str:
         return f"DynamicTrustAggregator({self.trust_source!r})"
+
+
+@dataclass
+class CompositeTrust:
+    """Product of several trust sources, for the weighted aggregator.
+
+    Used when consistency screening (``screen_spammers``) and the
+    quality loop (``quarantine``) run together: a member must convince
+    *both* to keep full weight. The version is the sum of the sources'
+    versions, so any source moving invalidates cached summaries.
+    """
+
+    sources: tuple = ()
+    _fallbacks: dict = field(default_factory=dict, repr=False)
+
+    def trust(self, member_id: str) -> float:
+        value = 1.0
+        for source in self.sources:
+            value *= source.trust(member_id)
+        return value
+
+    @property
+    def version(self) -> int:
+        total = 0
+        for idx, source in enumerate(self.sources):
+            version = getattr(source, "version", None)
+            if version is None:
+                # No change signal: force invalidation, like the
+                # aggregator's own fallback path.
+                self._fallbacks[idx] = self._fallbacks.get(idx, 0) + 1
+                total += self._fallbacks[idx]
+            else:
+                total += int(version)
+        return total
 
 
 class WeightedAggregator(Aggregator):
