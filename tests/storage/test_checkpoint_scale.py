@@ -101,7 +101,7 @@ class TestShardedKillResume:
         baseline = ShardedDispatcher(make_miner(), dispatch_config(), shards=4).run()
 
         path = str(tmp_path / "sharded.db")
-        storage = open_backend(path, "sqlite")
+        storage = open_backend(path)
         miner = make_miner(storage=storage, checkpoint_every=40)
         dispatcher = ShardedDispatcher(miner, dispatch_config(), shards=4)
         dispatcher._fill_all()
@@ -116,7 +116,7 @@ class TestShardedKillResume:
         del miner, dispatcher
         storage.close()
 
-        resumed_storage = open_backend(path, "sqlite", resume=True)
+        resumed_storage = open_backend(path, resume=True)
         miner, dispatcher, info = load_session(resumed_storage)
         assert isinstance(dispatcher, ShardedDispatcher)
         assert dispatcher.n_shards == 4

@@ -68,7 +68,7 @@ def finished_store(tmp_path):
 class TestScrub:
     def test_clean_store_scrubs_clean(self, finished_store):
         path, _fp = finished_store
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         verified, corrupt = scrub_store(storage)
         assert corrupt == []
         assert len(verified) >= 2
@@ -77,11 +77,11 @@ class TestScrub:
     @pytest.mark.parametrize("mode", ["torn", "bitflip"])
     def test_scrub_localizes_damage(self, finished_store, mode):
         path, _fp = finished_store
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         victim = storage.checkpoints()[-2].checkpoint_id
         storage.close()
         damage(path, victim, mode=mode)
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         verified, corrupt = scrub_store(storage)
         assert [info.checkpoint_id for info in corrupt] == [victim]
         assert victim not in {info.checkpoint_id for info in verified}
@@ -91,22 +91,22 @@ class TestScrub:
 class TestRepair:
     def test_corrupt_latest_is_loud_without_repair(self, finished_store):
         path, _fp = finished_store
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         latest = storage.checkpoints()[-1].checkpoint_id
         storage.close()
         damage(path, latest, mode="bitflip")
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         with pytest.raises(CorruptStoreError, match="--repair"):
             load_session(storage)
         storage.close()
 
     def test_repair_falls_back_and_converges(self, finished_store):
         path, clean_fp = finished_store
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         latest = storage.checkpoints()[-1].checkpoint_id
         storage.close()
         damage(path, latest, mode="torn")
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         miner, dispatcher, info = load_session(storage, repair=True)
         assert dispatcher is None
         assert info.checkpoint_id != latest
@@ -120,12 +120,12 @@ class TestRepair:
 
     def test_repair_survives_multiple_corrupt_checkpoints(self, finished_store):
         path, clean_fp = finished_store
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         victims = [info.checkpoint_id for info in storage.checkpoints()[-3:]]
         storage.close()
         for n, victim in enumerate(victims):
             damage(path, victim, mode="torn" if n % 2 else "bitflip")
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         miner, _dispatcher, info = load_session(storage, repair=True)
         assert info.checkpoint_id not in victims
         assert miner.obs.snapshot().counters["storage.repaired"] == len(victims)
@@ -135,24 +135,24 @@ class TestRepair:
 
     def test_nothing_verified_is_corrupt_store_error(self, finished_store):
         path, _fp = finished_store
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         victims = [info.checkpoint_id for info in storage.checkpoints()]
         storage.close()
         for victim in victims:
             damage(path, victim, mode="bitflip")
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         with pytest.raises(CorruptStoreError, match="no verified checkpoint"):
             load_session(storage, repair=True)
         storage.close()
 
     def test_readonly_repair_skips_without_dropping(self, finished_store):
         path, _fp = finished_store
-        storage = open_backend(path, "sqlite", resume=True)
+        storage = open_backend(path, resume=True)
         latest = storage.checkpoints()[-1].checkpoint_id
         n_checkpoints = len(storage.checkpoints())
         storage.close()
         damage(path, latest, mode="bitflip")
-        storage = open_backend(path, "sqlite", readonly=True)
+        storage = open_backend(path, readonly=True)
         miner, _dispatcher, info = load_session(
             storage, rollback=False, repair=True
         )
