@@ -90,13 +90,17 @@ LARGE_SETTINGS = {
 
 
 def _random_seed_rules(items, count, rng):
-    """``count`` distinct random rules over ``items`` (2–4 item bodies)."""
-    rules = set()
+    """``count`` distinct random rules over ``items`` (2–4 item bodies).
+
+    Returned in generation order (a dict keeps insertion order), so the
+    seed-rule order follows ``rng`` alone, not the hash seed.
+    """
+    rules: dict[Rule, None] = {}
     while len(rules) < count:
         size = int(rng.integers(2, 5))
         chosen = [items[k] for k in rng.choice(len(items), size=size, replace=False)]
         cut = int(rng.integers(1, size))
-        rules.add(Rule(chosen[:cut], chosen[cut:]))
+        rules[Rule(chosen[:cut], chosen[cut:])] = None
     return tuple(rules)
 
 
